@@ -1,9 +1,11 @@
 // Micro-benchmarks of the rerankers: per-candidate-set cost of the
 // lightweight FlashRanker vs the heavy cross-scoring reranker, for the
-// paper's K=8 candidate sets.
+// paper's K=8 candidate sets. Candidates carry their chunk index, so the
+// rerankers read the chunk analyses from the lexicon as on the serving path.
 #include <benchmark/benchmark.h>
 
 #include "corpus/generator.h"
+#include "lexical/lexicon.h"
 #include "rerank/cross_score.h"
 #include "rerank/flashranker.h"
 #include "text/loader.h"
@@ -26,7 +28,8 @@ const std::vector<pkb::text::Document>& chunks() {
 std::vector<pkb::rerank::RerankCandidate> candidate_set(std::size_t k) {
   std::vector<pkb::rerank::RerankCandidate> cands;
   for (std::size_t i = 0; i < k && i < chunks().size(); ++i) {
-    cands.push_back({&chunks()[i * 7 % chunks().size()], 0.5f});
+    const std::size_t chunk = i * 7 % chunks().size();
+    cands.push_back({&chunks()[chunk], 0.5f, chunk});
   }
   return cands;
 }
@@ -37,11 +40,11 @@ constexpr const char* kQuery =
 
 template <typename Ranker>
 void run_rerank(benchmark::State& state) {
-  Ranker ranker;
-  ranker.fit(chunks());
+  const Ranker ranker;
+  const auto lexicon = pkb::lexical::Lexicon::build(chunks());
   const auto cands = candidate_set(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
-    auto ranked = ranker.rerank(kQuery, cands, 4);
+    auto ranked = ranker.rerank(*lexicon, kQuery, cands, 4);
     benchmark::DoNotOptimize(ranked.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

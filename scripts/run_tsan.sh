@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Build with ThreadSanitizer (-DPKB_SANITIZE=thread) and run the
 # concurrency-heavy tests: the serving layer, session manager + admission,
-# history store, observability registry, thread-pool, and resilience/chaos
-# suites. Usage, from anywhere:
+# history store, observability registry, thread-pool, resilience/chaos, and
+# lexicon-delta / rerank-during-publish suites. Usage, from anywhere:
 #
 #   scripts/run_tsan.sh [extra gtest filter]
 #
@@ -14,7 +14,7 @@ set -euo pipefail
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 build_dir="$repo_root/build-tsan"
 
-filter="ServeServer*:BoundedQueue*:ShardedLruCache*:HistoryStore*:Metrics*:Tracer*:ThreadPool*:SimClock*:KnowledgeBase*:Ingest*:SnapshotPersist*:Resilience*:FaultPlan*:CircuitBreaker*:Chaos*:SimClockWait*:ShardRouter*:ShardEquivalence*:ShardChaos*:ShardKnowledgeBase*:ShardServe*:Kernels*:KernelsArena*:Quantize*:Hnsw*:Kmeans*:Pq*:AnnIndex*:AnnKnowledgeBase*:StageGraph*:StageParity*:TraceRecorder*:Replay*:Session*"
+filter="ServeServer*:BoundedQueue*:ShardedLruCache*:HistoryStore*:Metrics*:Tracer*:ThreadPool*:SimClock*:KnowledgeBase*:Ingest*:SnapshotPersist*:Resilience*:FaultPlan*:CircuitBreaker*:Chaos*:SimClockWait*:ShardRouter*:ShardEquivalence*:ShardChaos*:ShardKnowledgeBase*:ShardServe*:Kernels*:KernelsArena*:Quantize*:Hnsw*:Kmeans*:Pq*:AnnIndex*:AnnKnowledgeBase*:StageGraph*:StageParity*:TraceRecorder*:Replay*:Session*:LexiconDelta*:RerankDuringPublish*"
 if [[ $# -ge 1 ]]; then
   filter="$filter:$1"
 fi

@@ -166,6 +166,16 @@ rag::SnapshotPtr Ingestor::build_and_publish_locked(
     next->chunks_at_fit = base->chunks_at_fit;
   }
   next->symbols = std::make_shared<lexical::SymbolIndex>(next->chunks);
+  // Analyses depend only on chunk text: the lexicon shares the retained
+  // ones and analyses only the new chunks.
+  std::vector<lexical::ChunkAnalysisPtr> analyses;
+  analyses.reserve(n_new);
+  for (std::size_t i = retained.size(); i < next->chunks.size(); ++i) {
+    analyses.push_back(std::make_shared<const lexical::ChunkAnalysis>(
+        lexical::analyse(next->chunks[i])));
+  }
+  next->lexicon = std::make_shared<const lexical::Lexicon>(
+      *base->lexicon, retained, std::move(analyses));
   // Sharded serving: the new generation carries its own router (built
   // before publish, so no reader ever sees a snapshot without one).
   next->attach_indexes();

@@ -8,8 +8,10 @@
 // traffic: it pins the current Snapshot as its base, chunks the incoming
 // documents with the base's splitter options, merges them with the retained
 // base chunks (upsert by "source": re-ingesting a source replaces its old
-// chunks), embeds only what is new, rebuilds the symbol index, and publishes
-// the result through KnowledgeBase::publish() — one atomic pointer swap.
+// chunks), embeds and analyses only what is new (the lexicon shares the
+// retained chunks' analyses with the base), rebuilds the symbol index and
+// the document frequencies, and publishes the result through
+// KnowledgeBase::publish() — one pointer swap.
 //
 // Embedder lifecycle: a delta build reuses the base's fitted embedder and
 // copies retained vectors bit-identically (VectorStore::add_prenormalized),

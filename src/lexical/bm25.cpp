@@ -7,6 +7,11 @@
 
 namespace pkb::lexical {
 
+double bm25_idf(double n, double df) {
+  // BM25+ style floor at 0 via the +1 inside the log.
+  return std::log(1.0 + (n - df + 0.5) / (df + 0.5));
+}
+
 Bm25Index::Bm25Index(Bm25Options opts) : opts_(opts) {}
 
 void Bm25Index::build(std::vector<text::Document> docs) {
@@ -38,10 +43,8 @@ const text::Document& Bm25Index::doc(std::size_t i) const {
 double Bm25Index::idf(std::string_view term) const {
   auto it = postings_.find(std::string(term));
   if (it == postings_.end()) return 0.0;
-  const double n = static_cast<double>(docs_.size());
-  const double df = static_cast<double>(it->second.size());
-  // BM25+ style floor at 0 via the +1 inside the log.
-  return std::log(1.0 + (n - df + 0.5) / (df + 0.5));
+  return bm25_idf(static_cast<double>(docs_.size()),
+                  static_cast<double>(it->second.size()));
 }
 
 double Bm25Index::score_posting(double idf, double tf, double doc_len) const {

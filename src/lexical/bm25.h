@@ -1,9 +1,9 @@
 #pragma once
 // Inverted index with BM25 ranking.
 //
-// Used (a) by the keyword-search augmentation of §III-C, (b) as a scoring
-// signal inside the FlashRanker, and (c) as a lexical baseline in the
-// retrieval benches.
+// Used (a) by the history retriever and the parametric-memory model, and
+// (b) as a lexical baseline in the retrieval benches. Its IDF formula
+// (bm25_idf) is also what the rerankers read through lexical::Lexicon.
 
 #include <string>
 #include <string_view>
@@ -26,6 +26,10 @@ struct Bm25Options {
   double k1 = 1.2;   ///< term-frequency saturation
   double b = 0.75;   ///< length normalization strength
 };
+
+/// Smoothed BM25 IDF of a term found in `df` of `n` documents — the one
+/// formula behind Bm25Index::idf and Lexicon::idf.
+[[nodiscard]] double bm25_idf(double n, double df);
 
 /// Immutable-after-build inverted index.
 class Bm25Index {

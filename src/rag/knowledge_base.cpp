@@ -46,6 +46,7 @@ KnowledgeBase KnowledgeBase::build(const text::VirtualDir& corpus,
   snap->store = vectordb::VectorStore::from_documents(snap->chunks, *embedder);
   snap->embedder = std::move(embedder);
   snap->symbols = std::make_shared<lexical::SymbolIndex>(snap->chunks);
+  snap->lexicon = lexical::Lexicon::build(snap->chunks);
   snap->embedder_fit_generation = 1;
   snap->chunks_at_fit = snap->chunks.size();
   snap->attach_indexes();
@@ -64,20 +65,20 @@ KnowledgeBase::KnowledgeBase(SnapshotPtr snap) {
   }
   gen_.store(snap->generation, std::memory_order_release);
   publish_kb_gauges(*snap);
-  snap_.store(std::move(snap), std::memory_order_release);
+  snap_ = std::move(snap);
 }
 
-KnowledgeBase::KnowledgeBase(KnowledgeBase&& other) noexcept {
-  snap_.store(other.snap_.load(std::memory_order_acquire),
-              std::memory_order_release);
+KnowledgeBase::KnowledgeBase(KnowledgeBase&& other) noexcept
+    : snap_(other.snapshot()) {
   gen_.store(other.gen_.load(std::memory_order_acquire),
              std::memory_order_release);
 }
 
 KnowledgeBase& KnowledgeBase::operator=(KnowledgeBase&& other) noexcept {
   if (this != &other) {
-    snap_.store(other.snap_.load(std::memory_order_acquire),
-                std::memory_order_release);
+    SnapshotPtr snap = other.snapshot();
+    std::lock_guard<std::mutex> lock(snap_mu_);
+    snap_ = std::move(snap);
     gen_.store(other.gen_.load(std::memory_order_acquire),
                std::memory_order_release);
   }
@@ -105,7 +106,7 @@ double KnowledgeBase::publish(SnapshotPtr next) {
     throw std::invalid_argument("KnowledgeBase::publish: null snapshot");
   }
   std::lock_guard<std::mutex> lock(publish_mu_);
-  const SnapshotPtr cur = snap_.load(std::memory_order_acquire);
+  const SnapshotPtr cur = snapshot();
   if (next->generation <= cur->generation) {
     throw std::logic_error(
         "KnowledgeBase::publish: generation must increase (current " +
@@ -119,8 +120,13 @@ double KnowledgeBase::publish(SnapshotPtr next) {
   pkb::util::Stopwatch watch;
   const std::uint64_t generation = next->generation;
   publish_kb_gauges(*next);
-  snap_.store(std::move(next), std::memory_order_release);
-  gen_.store(generation, std::memory_order_release);
+  {
+    // `cur` keeps the old generation alive, so its release happens outside
+    // this critical section.
+    std::lock_guard<std::mutex> swap(snap_mu_);
+    snap_ = std::move(next);
+    gen_.store(generation, std::memory_order_release);
+  }
   const double seconds = watch.seconds();
   obs::global_metrics().histogram(obs::kKbSwapSeconds).observe(seconds);
   return seconds;
@@ -137,8 +143,9 @@ double KnowledgeBase::publish(SnapshotPtr next) {
 //         | symbol section "SYMS": symbol -> chunk indices.
 //
 // The chunks are reconstructed from the store's documents (entry i ==
-// chunks[i] by invariant); the embedder is refitted from them — fit() is
-// deterministic, so the reloaded generation embeds queries identically.
+// chunks[i] by invariant); the embedder is refitted and the lexicon rebuilt
+// from them — both are deterministic, so the reloaded generation embeds
+// queries and reranks identically.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -332,6 +339,7 @@ SnapshotPtr Snapshot::load(const std::string& path) {
   }
   snap->symbols = std::make_shared<lexical::SymbolIndex>(
       lexical::SymbolIndex::from_entries(std::move(entries)));
+  snap->lexicon = lexical::Lexicon::build(snap->chunks);
 
   std::unique_ptr<embed::Embedder> embedder =
       embed::make_embedder(snap->opts.embedder);

@@ -3,14 +3,14 @@
 // immutable RagDatabase.
 //
 // A `Snapshot` is one immutable generation of the knowledge base: chunked
-// corpus + fitted embedder + vector store + symbol index, stamped with a
-// monotonically increasing generation id. `KnowledgeBase` holds an atomic
+// corpus + fitted embedder + vector store + symbol index + lexicon, stamped
+// with a monotonically increasing generation id. `KnowledgeBase` holds a
 // shared_ptr to the current snapshot: readers pin a generation with
-// snapshot() (cheap, lock-free to them) and keep using it for as long as
-// they hold the pointer, while the ingest subsystem (src/ingest/) builds
-// the next generation off to the side and publish()es it with a single
-// pointer swap. In-flight queries are never torn across generations and a
-// publish never blocks readers.
+// snapshot() (one pointer copy under a short lock) and keep using it for as
+// long as they hold the pointer, while the ingest subsystem (src/ingest/)
+// builds the next generation off to the side and publish()es it with a
+// single pointer swap. In-flight queries are never torn across generations
+// and a build never blocks readers.
 //
 // This is how the paper's central loop — resolved conversations curated
 // back into the corpus so the next question retrieves from a richer KB
@@ -25,6 +25,7 @@
 
 #include "embed/embedder.h"
 #include "lexical/keyword_search.h"
+#include "lexical/lexicon.h"
 #include "text/loader.h"
 #include "text/splitter.h"
 #include "vectordb/index.h"
@@ -69,8 +70,8 @@ using RagDatabaseOptions = KnowledgeBaseOptions;
 
 /// One immutable generation: everything retrieval needs, bundled. Invariant:
 /// `store` entry i is the embedding of `chunks[i]` (same document, same
-/// order); `symbols` indexes into `chunks`. Never mutated after publish —
-/// share freely across threads via SnapshotPtr.
+/// order); `symbols` and `lexicon` index into `chunks`. Never mutated after
+/// publish — share freely across threads via SnapshotPtr.
 struct Snapshot {
   /// Monotonic generation id; the initial build is generation 1.
   std::uint64_t generation = 0;
@@ -93,6 +94,10 @@ struct Snapshot {
   /// retriever routes first-pass searches through it when present.
   std::shared_ptr<const vectordb::AnnIndex> ann;
   std::shared_ptr<const lexical::SymbolIndex> symbols;
+  /// Per-chunk analyses and document frequencies, what the stateless
+  /// rerankers score from. Derived data: rebuilt on load, never saved; a
+  /// delta generation shares its retained chunks' analyses with the base.
+  lexical::LexiconPtr lexicon;
   /// Number of source documents that contributed to `chunks`.
   std::size_t source_count = 0;
   /// Generation at which `embedder` was last fitted — the serve layer keys
@@ -121,10 +126,10 @@ struct Snapshot {
 
 using SnapshotPtr = std::shared_ptr<const Snapshot>;
 
-/// The generational knowledge base: an atomic current-snapshot pointer plus
-/// the publish protocol. Readers are wait-free with respect to publishers;
-/// a reader's pinned snapshot stays fully usable (and alive) across any
-/// number of publishes.
+/// The generational knowledge base: a current-snapshot pointer plus the
+/// publish protocol. Readers and publishers share the pointer only for a
+/// copy or a swap; a reader's pinned snapshot stays fully usable (and alive)
+/// across any number of publishes.
 ///
 /// Compat surface: the chunks()/store()/embedder()/symbols() accessors of
 /// the old immutable RagDatabase delegate to the *current* snapshot. They
@@ -151,7 +156,8 @@ class KnowledgeBase {
   /// into it) stays valid for as long as the caller holds the SnapshotPtr,
   /// regardless of later publishes.
   [[nodiscard]] SnapshotPtr snapshot() const {
-    return snap_.load(std::memory_order_acquire);
+    std::lock_guard<std::mutex> lock(snap_mu_);
+    return snap_;
   }
 
   /// Current generation id without pinning (cheap staleness checks, e.g.
@@ -160,7 +166,7 @@ class KnowledgeBase {
     return gen_.load(std::memory_order_acquire);
   }
 
-  /// Publish `next` as the current generation: one atomic pointer swap.
+  /// Publish `next` as the current generation: one pointer swap.
   /// In-flight readers keep their pinned snapshot; new snapshot() calls see
   /// `next`. Requires next->generation > generation() (publishers are
   /// serialized internally; a stale build throws std::logic_error).
@@ -191,11 +197,14 @@ class KnowledgeBase {
  private:
   /// Reference into the current snapshot. The KnowledgeBase itself keeps
   /// the snapshot alive, so the reference is valid until the next publish.
-  [[nodiscard]] const Snapshot& current() const {
-    return *snap_.load(std::memory_order_acquire);
-  }
+  [[nodiscard]] const Snapshot& current() const { return *snapshot(); }
 
-  std::atomic<SnapshotPtr> snap_;
+  /// The current generation. A mutex-guarded shared_ptr rather than
+  /// std::atomic<shared_ptr>: libstdc++'s lock-bit implementation of the
+  /// latter is invisible to ThreadSanitizer, which then reports every
+  /// publish racing every pin. The critical section is one shared_ptr copy.
+  SnapshotPtr snap_;
+  mutable std::mutex snap_mu_;
   std::atomic<std::uint64_t> gen_{0};
   mutable std::mutex publish_mu_;  ///< serializes publishers only
 };

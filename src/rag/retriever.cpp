@@ -22,37 +22,14 @@ void Retriever::observe_retrieval_metrics(const RetrievalResult& result) const {
 
 Retriever::Retriever(const KnowledgeBase& kb, RetrieverOptions opts)
     : kb_(kb), opts_(std::move(opts)) {
-  if (!opts_.reranker.empty()) {
-    const SnapshotPtr snap = kb_.snapshot();
-    std::unique_ptr<rerank::Reranker> reranker =
-        rerank::make_reranker(opts_.reranker);
-    reranker->fit(snap->chunks);
-    reranker_ = std::move(reranker);
-    reranker_generation_ = snap->generation;
-  }
+  if (!opts_.reranker.empty()) ranker_ = rerank::make_reranker(opts_.reranker);
 }
 
 void Retriever::set_fault_plan(const pkb::resilience::FaultPlan* plan,
                                std::uint32_t search_hedges) {
   fault_plan_ = plan;
   search_hedges_ = search_hedges;
-  std::lock_guard<std::mutex> lock(rerank_mu_);
-  if (reranker_ != nullptr) reranker_->set_fault_plan(plan);
-}
-
-std::shared_ptr<const rerank::Reranker> Retriever::reranker_for(
-    const Snapshot& snap) const {
-  if (opts_.reranker.empty()) return nullptr;
-  std::lock_guard<std::mutex> lock(rerank_mu_);
-  if (reranker_ == nullptr || reranker_generation_ != snap.generation) {
-    std::unique_ptr<rerank::Reranker> reranker =
-        rerank::make_reranker(opts_.reranker);
-    reranker->fit(snap.chunks);
-    reranker->set_fault_plan(fault_plan_);
-    reranker_ = std::move(reranker);
-    reranker_generation_ = snap.generation;
-  }
-  return reranker_;
+  if (ranker_ != nullptr) ranker_->set_fault_plan(plan);
 }
 
 template <typename SearchFn>
@@ -158,6 +135,7 @@ void Retriever::augment_stage(
     ctx.score = hit.score;
     ctx.via = "vector";
     ctx.first_pass_rank = candidates.size();
+    ctx.chunk = hit.index;
     pos.emplace(hit.doc->id, candidates.size());
     candidates.push_back(std::move(ctx));
   }
@@ -179,6 +157,7 @@ void Retriever::augment_stage(
         ctx.score = 0.0;  // keyword hits carry no embedding score
         ctx.via = "keyword";
         ctx.first_pass_rank = candidates.size();
+        ctx.chunk = chunk_index;
         pos.emplace(std::string_view(doc->id), candidates.size());
         candidates.push_back(std::move(ctx));
         ++added;
@@ -215,20 +194,20 @@ void Retriever::rerank_stage(const Snapshot& snap, std::string_view query,
                              RetrievalResult& result) const {
   // --- Second pass: reranking K (+ keyword extras) down to L (§III-D). ---
   const std::vector<RetrievedContext>& candidates = result.first_pass;
-  const std::shared_ptr<const rerank::Reranker> reranker = reranker_for(snap);
-  if (reranker != nullptr) {
+  if (ranker_ != nullptr) {
     pkb::util::Stopwatch watch;
     obs::Span rerank_span(obs::global_tracer(), obs::kSpanRerank);
-    rerank_span.set_attr("reranker", reranker->name());
+    rerank_span.set_attr("reranker", ranker_->name());
     rerank_span.set_attr("in", candidates.size());
     std::vector<rerank::RerankCandidate> rc;
     rc.reserve(candidates.size());
     for (const RetrievedContext& ctx : candidates) {
       rc.push_back(rerank::RerankCandidate{
-          ctx.doc, static_cast<float>(ctx.score)});
+          ctx.doc, static_cast<float>(ctx.score), ctx.chunk});
     }
     try {
-      const auto reranked = reranker->rerank(query, rc, opts_.final_l);
+      const auto reranked =
+          ranker_->rerank(*snap.lexicon, query, rc, opts_.final_l);
       result.contexts.clear();
       for (const rerank::RerankResult& rr : reranked) {
         RetrievedContext ctx = candidates[rr.original_rank];

@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 
 #include "rag/knowledge_base.h"
@@ -39,6 +38,9 @@ struct RetrievedContext {
   /// Rank in the first pass (0-based; keyword-only candidates rank after all
   /// vector candidates in arrival order).
   std::size_t first_pass_rank = 0;
+  /// Index of `doc` in the pinned snapshot's chunk list (what the reranker
+  /// reads the chunk's analysis by); lexical::kNoChunk when unknown.
+  std::size_t chunk = lexical::kNoChunk;
 };
 
 /// Full retrieval outcome with stage timings (feeds Table II).
@@ -86,11 +88,10 @@ struct RetrievalResult {
   }
 };
 
-/// Bound to a KnowledgeBase; owns its reranker. All retrieval entry points
-/// are const and safe to call concurrently from many threads: snapshots are
-/// immutable and the reranker's rerank() is const. The reranker is refitted
-/// lazily (under an internal mutex) when a retrieval first observes a new
-/// generation, so its corpus statistics track the published chunk list.
+/// Bound to a KnowledgeBase; owns one stateless reranker. All retrieval
+/// entry points are const and safe to call concurrently from many threads
+/// without locks: snapshots are immutable, and the reranker scores from the
+/// pinned snapshot's lexicon, so a new generation needs no refit.
 class Retriever {
  public:
   Retriever(const KnowledgeBase& kb, RetrieverOptions opts = {});
@@ -168,9 +169,9 @@ class Retriever {
   /// snapshot's store is immutable, so the retriever is the injection
   /// point on the serving path) with up to `search_hedges` hedged
   /// re-attempts before the fault propagates; the plan is also handed to
-  /// every reranker this retriever fits, whose rerank faults are caught in
-  /// assemble_from_hits and degrade to first-pass order. Pass nullptr to
-  /// detach. Setup-time only — must not race in-flight retrievals.
+  /// the reranker, whose rerank faults are caught in rerank_stage and
+  /// degrade to first-pass order. Pass nullptr to detach. Setup-time only —
+  /// must not race in-flight retrievals.
   void set_fault_plan(const pkb::resilience::FaultPlan* plan,
                       std::uint32_t search_hedges = 1);
   [[nodiscard]] const KnowledgeBase& kb() const { return kb_; }
@@ -185,11 +186,6 @@ class Retriever {
   void assemble_from_hits(const Snapshot& snap, std::string_view query,
                           const std::vector<vectordb::SearchResult>& vector_hits,
                           RetrievalResult& result) const;
-
-  /// The reranker fitted for `snap`'s generation, refitting if this is the
-  /// first retrieval to observe it. Returns nullptr when reranking is off.
-  [[nodiscard]] std::shared_ptr<const rerank::Reranker> reranker_for(
-      const Snapshot& snap) const;
 
   /// Vector search with fault consultation and hedged re-attempts; the
   /// single-query and batched paths share the retry shape through the
@@ -209,9 +205,8 @@ class Retriever {
 
   const KnowledgeBase& kb_;
   RetrieverOptions opts_;
-  mutable std::mutex rerank_mu_;
-  mutable std::shared_ptr<rerank::Reranker> reranker_;
-  mutable std::uint64_t reranker_generation_ = 0;
+  /// Made once from opts_.reranker; null when reranking is off.
+  std::unique_ptr<rerank::Reranker> ranker_;
   const pkb::resilience::FaultPlan* fault_plan_ = nullptr;
   std::uint32_t search_hedges_ = 1;
 };

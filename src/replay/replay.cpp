@@ -158,10 +158,11 @@ ReplayResult ReplayEngine::replay(const rag::StageTrace& recorded,
     // recorded chunk id that no longer exists is reported, not fabricated.
     st.snapshot = kb_.snapshot();
     st.outcome.retrieval.snapshot = st.snapshot;
-    std::unordered_map<std::string_view, const text::Document*> by_id;
-    by_id.reserve(st.snapshot->chunks.size());
-    for (const text::Document& chunk : st.snapshot->chunks) {
-      by_id.emplace(chunk.id, &chunk);
+    const std::vector<text::Document>& chunks = st.snapshot->chunks;
+    std::unordered_map<std::string_view, std::size_t> by_id;
+    by_id.reserve(chunks.size());
+    for (std::size_t i = 0; i < chunks.size(); ++i) {
+      by_id.emplace(chunks[i].id, i);
     }
     const auto resolve = [&](const std::vector<rag::ContextRef>& refs,
                              std::vector<rag::RetrievedContext>& out) {
@@ -172,8 +173,8 @@ ReplayResult ReplayEngine::replay(const rag::StageTrace& recorded,
           continue;
         }
         out.push_back(rag::RetrievedContext{
-            it->second, ref.score, ref.via,
-            static_cast<std::size_t>(ref.first_pass_rank)});
+            &chunks[it->second], ref.score, ref.via,
+            static_cast<std::size_t>(ref.first_pass_rank), it->second});
       }
     };
     st.outcome.retrieval.query_embedding =

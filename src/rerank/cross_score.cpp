@@ -34,11 +34,8 @@ double trigram_similarity(const std::string& a, const std::string& b) {
 
 CrossScoreReranker::CrossScoreReranker(CrossScoreOptions opts) : opts_(opts) {}
 
-void CrossScoreReranker::fit(const std::vector<text::Document>& corpus) {
-  index_.build(corpus);
-}
-
-double CrossScoreReranker::score_pair(std::string_view query,
+double CrossScoreReranker::score_pair(const lexical::Lexicon& lexicon,
+                                      std::string_view query,
                                       const text::Document& doc) const {
   const std::vector<std::string> q = text::tokens_of(query);
   const std::vector<std::string> d = text::tokens_of(doc.text);
@@ -57,7 +54,7 @@ double CrossScoreReranker::score_pair(std::string_view query,
   for (std::size_t qi = 0; qi < q.size(); ++qi) {
     const std::string& term = q[qi];
     if (text::stopwords().contains(term) || term.size() < 2) continue;
-    const double idf = std::max(0.1, index_.idf(term));
+    const double idf = std::max(0.1, lexicon.idf(term));
     total_idf += idf;
     Match m;
     m.idf = idf;
@@ -108,8 +105,8 @@ double CrossScoreReranker::score_pair(std::string_view query,
 }
 
 std::vector<RerankResult> CrossScoreReranker::rerank(
-    std::string_view query, const std::vector<RerankCandidate>& candidates,
-    std::size_t top_l) const {
+    const lexical::Lexicon& lexicon, std::string_view query,
+    const std::vector<RerankCandidate>& candidates, std::size_t top_l) const {
   consult_fault_plan();
   // Each (query, document) pair costs O(|query| * |doc|); score them across
   // the pool. Writes go to distinct slots and score_pair is const, so the
@@ -120,16 +117,11 @@ std::vector<RerankResult> CrossScoreReranker::rerank(
       0, candidates.size(),
       [&](std::size_t i) {
         out[i] = RerankResult{candidates[i].doc,
-                              score_pair(query, *candidates[i].doc), i};
+                              score_pair(lexicon, query, *candidates[i].doc),
+                              i};
       },
       /*min_block=*/2);
-  std::sort(out.begin(), out.end(),
-            [](const RerankResult& a, const RerankResult& b) {
-              if (a.score != b.score) return a.score > b.score;
-              return a.original_rank < b.original_rank;
-            });
-  if (out.size() > top_l) out.resize(top_l);
-  return out;
+  return best(std::move(out), top_l);
 }
 
 }  // namespace pkb::rerank

@@ -4,7 +4,6 @@
 // weighting — O(|query| * |doc|) per pair, an order of magnitude more work
 // than FlashRanker's set operations.
 
-#include "lexical/bm25.h"
 #include "rerank/reranker.h"
 
 namespace pkb::rerank {
@@ -26,18 +25,19 @@ class CrossScoreReranker final : public Reranker {
   explicit CrossScoreReranker(CrossScoreOptions opts = {});
 
   [[nodiscard]] std::string name() const override { return "sim-nv-cross"; }
-  void fit(const std::vector<text::Document>& corpus) override;
   [[nodiscard]] std::vector<RerankResult> rerank(
-      std::string_view query, const std::vector<RerankCandidate>& candidates,
+      const lexical::Lexicon& lexicon, std::string_view query,
+      const std::vector<RerankCandidate>& candidates,
       std::size_t top_l) const override;
 
-  /// Score one pair; exposed for tests and the comparison bench.
-  [[nodiscard]] double score_pair(std::string_view query,
+  /// Score one pair under `lexicon`'s IDF; exposed for tests and the
+  /// comparison bench.
+  [[nodiscard]] double score_pair(const lexical::Lexicon& lexicon,
+                                  std::string_view query,
                                   const text::Document& doc) const;
 
  private:
   CrossScoreOptions opts_;
-  lexical::Bm25Index index_;
 };
 
 }  // namespace pkb::rerank

@@ -1,7 +1,8 @@
 #pragma once
-// The lightweight CPU reranker (Flashrank analogue).
+// The lightweight CPU reranker (Flashrank analogue). Query-side work
+// (tokens, distinct terms with their IDF, bigrams, symbol IDFs) runs once per
+// rerank() call; the chunk side comes precomputed from the lexicon.
 
-#include "lexical/bm25.h"
 #include "rerank/reranker.h"
 
 namespace pkb::rerank {
@@ -25,18 +26,19 @@ class FlashRanker final : public Reranker {
   explicit FlashRanker(FlashRankerOptions opts = {});
 
   [[nodiscard]] std::string name() const override { return "sim-flashrank"; }
-  void fit(const std::vector<text::Document>& corpus) override;
   [[nodiscard]] std::vector<RerankResult> rerank(
-      std::string_view query, const std::vector<RerankCandidate>& candidates,
+      const lexical::Lexicon& lexicon, std::string_view query,
+      const std::vector<RerankCandidate>& candidates,
       std::size_t top_l) const override;
 
-  /// Score one (query, document) pair; exposed for tests and ablations.
-  [[nodiscard]] double score_pair(std::string_view query,
+  /// Score one (query, document) pair under `lexicon`'s IDF, analysing
+  /// `doc` on the fly; exposed for tests and ablations.
+  [[nodiscard]] double score_pair(const lexical::Lexicon& lexicon,
+                                  std::string_view query,
                                   const text::Document& doc) const;
 
  private:
   FlashRankerOptions opts_;
-  lexical::Bm25Index index_;
 };
 
 }  // namespace pkb::rerank

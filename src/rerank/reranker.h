@@ -20,6 +20,7 @@
 #include <string_view>
 #include <vector>
 
+#include "lexical/lexicon.h"
 #include "resilience/fault_plan.h"
 #include "text/document.h"
 
@@ -30,6 +31,9 @@ struct RerankCandidate {
   const text::Document* doc = nullptr;
   /// First-pass (embedding or keyword) score, informational only.
   float retrieval_score = 0.0f;
+  /// Index of `doc` in the lexicon's chunk list; lexical::kNoChunk for a
+  /// document outside the generation, which is analysed on the fly.
+  std::size_t chunk = lexical::kNoChunk;
 };
 
 /// A reranked document.
@@ -40,21 +44,22 @@ struct RerankResult {
   std::size_t original_rank = 0;
 };
 
-/// Common interface. fit() learns corpus statistics (IDF); rerank() scores
-/// candidates and returns the best `top_l` in descending score order.
+/// Common interface. Rerankers are stateless: rerank() reads term
+/// statistics (IDF) and the candidates' per-chunk analyses from the lexicon
+/// of the generation the candidates come from, and returns the best `top_l`
+/// in descending score order.
 class Reranker {
  public:
   virtual ~Reranker() = default;
 
   [[nodiscard]] virtual std::string name() const = 0;
 
-  /// Learn corpus statistics used for term weighting.
-  virtual void fit(const std::vector<text::Document>& corpus) = 0;
-
-  /// Score and reorder; returns min(top_l, candidates.size()) results,
-  /// descending score, ties broken by original rank. Deterministic.
+  /// Score and reorder against `lexicon`; returns min(top_l,
+  /// candidates.size()) results, descending score, ties broken by original
+  /// rank. Deterministic.
   [[nodiscard]] virtual std::vector<RerankResult> rerank(
-      std::string_view query, const std::vector<RerankCandidate>& candidates,
+      const lexical::Lexicon& lexicon, std::string_view query,
+      const std::vector<RerankCandidate>& candidates,
       std::size_t top_l) const = 0;
 
   /// Attach a chaos plan consulted (Stage::Rerank) at each rerank() entry:
@@ -70,6 +75,11 @@ class Reranker {
   void consult_fault_plan() const {
     pkb::resilience::consult(fault_plan_, pkb::resilience::Stage::Rerank);
   }
+
+  /// Sort scored results (descending score, ties by original rank) and keep
+  /// the best `top_l`.
+  [[nodiscard]] static std::vector<RerankResult> best(
+      std::vector<RerankResult> scored, std::size_t top_l);
 
  private:
   const pkb::resilience::FaultPlan* fault_plan_ = nullptr;

@@ -31,6 +31,27 @@ bool all_upper_or_digit(std::string_view tok) {
   });
 }
 
+/// Calls visit(offset, size) for each token of `s` in order: the one split
+/// rule behind token_spans() and tokenize().
+template <typename Visit>
+void scan_tokens(std::string_view s, std::size_t min_token_len,
+                 Visit&& visit) {
+  std::size_t i = 0;
+  while (i < s.size()) {
+    while (i < s.size() && !is_symbol_char(s[i])) ++i;
+    std::size_t start = i;
+    while (i < s.size() && is_symbol_char(s[i])) ++i;
+    if (i == start) continue;
+    // Strip leading '-' runs that are prose dashes (e.g. "--" separators) but
+    // keep a single '-' when it forms a plausible runtime option.
+    while (i - start > 1 && s[start] == '-' && s[start + 1] == '-') ++start;
+    const std::size_t size = i - start;
+    if (size == 1 && s[start] == '-') continue;
+    if (size < min_token_len) continue;
+    visit(start, size);
+  }
+}
+
 }  // namespace
 
 bool looks_like_symbol(std::string_view tok) {
@@ -64,22 +85,20 @@ bool looks_like_symbol(std::string_view tok) {
   return has_interior_upper(tok) && has_lower(tok);
 }
 
+std::vector<TokenSpan> token_spans(std::string_view s,
+                                   std::size_t min_token_len) {
+  std::vector<TokenSpan> out;
+  scan_tokens(s, min_token_len, [&](std::size_t offset, std::size_t size) {
+    out.push_back(TokenSpan{offset, size});
+  });
+  return out;
+}
+
 TokenizedText tokenize(std::string_view s, const TokenizerOptions& opts) {
   TokenizedText out;
   std::unordered_set<std::string> seen_symbols;
-  std::size_t i = 0;
-  while (i < s.size()) {
-    while (i < s.size() && !is_symbol_char(s[i])) ++i;
-    std::size_t start = i;
-    while (i < s.size() && is_symbol_char(s[i])) ++i;
-    if (i == start) continue;
-    std::string_view raw = s.substr(start, i - start);
-    // Strip leading '-' runs that are prose dashes (e.g. "--" separators) but
-    // keep a single '-' when it forms a plausible runtime option.
-    while (raw.size() > 1 && raw[0] == '-' && raw[1] == '-') raw.remove_prefix(1);
-    if (raw == "-") continue;
-    if (raw.size() < opts.min_token_len) continue;
-
+  scan_tokens(s, opts.min_token_len, [&](std::size_t offset, std::size_t size) {
+    const std::string_view raw = s.substr(offset, size);
     const bool symbol = looks_like_symbol(raw);
     if (symbol) {
       std::string original(raw);
@@ -89,9 +108,9 @@ TokenizedText tokenize(std::string_view s, const TokenizerOptions& opts) {
     }
     std::string tok = opts.lowercase ? pkb::util::to_lower(raw)
                                      : std::string(raw);
-    if (opts.drop_stopwords && !symbol && stopwords().contains(tok)) continue;
+    if (opts.drop_stopwords && !symbol && stopwords().contains(tok)) return;
     out.tokens.push_back(std::move(tok));
-  }
+  });
   return out;
 }
 

@@ -32,6 +32,19 @@ struct TokenizedText {
   std::vector<std::string> symbols;
 };
 
+/// Byte range of one token in the tokenized string.
+struct TokenSpan {
+  std::size_t offset = 0;
+  std::size_t size = 0;
+};
+
+/// The token boundaries tokenize() uses: with default options, token i of
+/// tokens_of(s) is to_lower(s.substr(spans[i].offset, spans[i].size)).
+/// Lowercasing does not move a boundary, so the spans of to_lower(s) are
+/// the spans of s.
+[[nodiscard]] std::vector<TokenSpan> token_spans(std::string_view s,
+                                                 std::size_t min_token_len = 1);
+
 /// Tokenize `s` per `opts`.
 [[nodiscard]] TokenizedText tokenize(std::string_view s,
                                      const TokenizerOptions& opts = {});

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 
+#include "lexical/lexicon.h"
 #include "rerank/cross_score.h"
 #include "rerank/flashranker.h"
 #include "rerank/reranker.h"
@@ -30,9 +31,10 @@ std::vector<text::Document> corpus() {
   return docs;
 }
 
+/// Candidate i is chunk i of the lexicon built over `d`.
 std::vector<RerankCandidate> candidates(const std::vector<text::Document>& d) {
   std::vector<RerankCandidate> out;
-  for (const auto& doc : d) out.push_back({&doc, 0.5f});
+  for (std::size_t i = 0; i < d.size(); ++i) out.push_back({&d[i], 0.5f, i});
   return out;
 }
 
@@ -41,9 +43,10 @@ class RerankerParamTest : public ::testing::TestWithParam<std::string> {};
 TEST_P(RerankerParamTest, PutsTheDecisiveDocFirst) {
   auto ranker = make_reranker(GetParam());
   const auto docs = corpus();
-  ranker->fit(docs);
+  const auto lex = lexical::Lexicon::build(docs);
   const auto ranked = ranker->rerank(
-      "Can I solve a rectangular least squares system?", candidates(docs), 4);
+      *lex, "Can I solve a rectangular least squares system?",
+      candidates(docs), 4);
   ASSERT_EQ(ranked.size(), 4u);
   EXPECT_EQ(ranked[0].doc->id, "lsqr") << GetParam();
 }
@@ -51,20 +54,22 @@ TEST_P(RerankerParamTest, PutsTheDecisiveDocFirst) {
 TEST_P(RerankerParamTest, TruncatesToTopL) {
   auto ranker = make_reranker(GetParam());
   const auto docs = corpus();
-  ranker->fit(docs);
-  EXPECT_EQ(ranker->rerank("query about matrices", candidates(docs), 2).size(),
-            2u);
-  EXPECT_EQ(ranker->rerank("query", candidates(docs), 100).size(), docs.size());
-  EXPECT_TRUE(ranker->rerank("query", {}, 4).empty());
+  const auto lex = lexical::Lexicon::build(docs);
+  EXPECT_EQ(
+      ranker->rerank(*lex, "query about matrices", candidates(docs), 2).size(),
+      2u);
+  EXPECT_EQ(ranker->rerank(*lex, "query", candidates(docs), 100).size(),
+            docs.size());
+  EXPECT_TRUE(ranker->rerank(*lex, "query", {}, 4).empty());
 }
 
 TEST_P(RerankerParamTest, ScoresDescendAndTiesKeepOriginalOrder) {
   auto ranker = make_reranker(GetParam());
   const auto docs = corpus();
-  ranker->fit(docs);
+  const auto lex = lexical::Lexicon::build(docs);
   const auto ranked =
-      ranker->rerank("preallocation malloc diagnostics", candidates(docs),
-                     docs.size());
+      ranker->rerank(*lex, "preallocation malloc diagnostics",
+                     candidates(docs), docs.size());
   for (std::size_t i = 1; i < ranked.size(); ++i) {
     if (ranked[i - 1].score == ranked[i].score) {
       EXPECT_LT(ranked[i - 1].original_rank, ranked[i].original_rank);
@@ -80,11 +85,13 @@ TEST_P(RerankerParamTest, PermutationInvariantScores) {
   // legitimately swap positions — ties break by arrival order).
   auto ranker = make_reranker(GetParam());
   const auto docs = corpus();
-  ranker->fit(docs);
+  const auto lex = lexical::Lexicon::build(docs);
   auto cands = candidates(docs);
-  const auto a = ranker->rerank("rectangular least squares", cands, docs.size());
+  const auto a =
+      ranker->rerank(*lex, "rectangular least squares", cands, docs.size());
   std::reverse(cands.begin(), cands.end());
-  const auto b = ranker->rerank("rectangular least squares", cands, docs.size());
+  const auto b =
+      ranker->rerank(*lex, "rectangular least squares", cands, docs.size());
   ASSERT_EQ(a.size(), b.size());
   std::map<std::string, double> score_a;
   std::map<std::string, double> score_b;
@@ -99,10 +106,9 @@ TEST_P(RerankerParamTest, Deterministic) {
   auto r1 = make_reranker(GetParam());
   auto r2 = make_reranker(GetParam());
   const auto docs = corpus();
-  r1->fit(docs);
-  r2->fit(docs);
-  const auto a = r1->rerank("monitor residual", candidates(docs), 3);
-  const auto b = r2->rerank("monitor residual", candidates(docs), 3);
+  const auto lex = lexical::Lexicon::build(docs);
+  const auto a = r1->rerank(*lex, "monitor residual", candidates(docs), 3);
+  const auto b = r2->rerank(*lex, "monitor residual", candidates(docs), 3);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].doc->id, b[i].doc->id);
@@ -119,10 +125,10 @@ INSTANTIATE_TEST_SUITE_P(BothRerankers, RerankerParamTest,
 TEST(FlashRanker, SymbolMatchOutweighsProse) {
   FlashRanker ranker;
   const auto docs = corpus();
-  ranker.fit(docs);
+  const auto lex = lexical::Lexicon::build(docs);
   // Query names the API symbol: the exact match must dominate.
   const auto ranked =
-      ranker.rerank("what does KSPGMRES do", candidates(docs), 1);
+      ranker.rerank(*lex, "what does KSPGMRES do", candidates(docs), 1);
   ASSERT_EQ(ranked.size(), 1u);
   EXPECT_EQ(ranked[0].doc->id, "gmres");
 }
@@ -130,9 +136,9 @@ TEST(FlashRanker, SymbolMatchOutweighsProse) {
 TEST(FlashRanker, ScorePairIsNonNegativeAndZeroForNoOverlap) {
   FlashRanker ranker;
   const auto docs = corpus();
-  ranker.fit(docs);
-  EXPECT_DOUBLE_EQ(ranker.score_pair("zzz qqq", docs[5]), 0.0);
-  EXPECT_GT(ranker.score_pair("least squares", docs[0]), 0.0);
+  const auto lex = lexical::Lexicon::build(docs);
+  EXPECT_DOUBLE_EQ(ranker.score_pair(*lex, "zzz qqq", docs[5]), 0.0);
+  EXPECT_GT(ranker.score_pair(*lex, "least squares", docs[0]), 0.0);
 }
 
 TEST(CrossScore, ProximityRewardsClusteredMatches) {
@@ -145,10 +151,10 @@ TEST(CrossScore, ProximityRewardsClusteredMatches) {
            "and diagnostics; eventually least squares appears far away; "
            "and after yet more filler text the word solver shows up",
       {}};
-  ranker.fit({clustered, scattered});
-  const double c = ranker.score_pair("rectangular least squares solver",
+  const auto lex = lexical::Lexicon::build({clustered, scattered});
+  const double c = ranker.score_pair(*lex, "rectangular least squares solver",
                                      clustered);
-  const double s = ranker.score_pair("rectangular least squares solver",
+  const double s = ranker.score_pair(*lex, "rectangular least squares solver",
                                      scattered);
   EXPECT_GT(c, s);
 }
@@ -156,9 +162,9 @@ TEST(CrossScore, ProximityRewardsClusteredMatches) {
 TEST(CrossScore, SoftMatchingHandlesMorphology) {
   CrossScoreReranker ranker;
   text::Document doc{"d", "restarting the iteration bounds memory usage", {}};
-  ranker.fit({doc});
+  const auto lex = lexical::Lexicon::build({doc});
   // "restart" ~ "restarting" via trigram soft match.
-  EXPECT_GT(ranker.score_pair("restart memory", doc), 0.3);
+  EXPECT_GT(ranker.score_pair(*lex, "restart memory", doc), 0.3);
 }
 
 TEST(Registry, NamesConstructAndUnknownThrows) {
